@@ -6,6 +6,25 @@
 // Section 2 verifier and the Theorem 6.1 witness search both consume).
 // For pumping nets exploration hits the budget and the caller must fall
 // back to omega-based reasoning (karp_miller.h).
+//
+// Successor enumeration is occupancy-driven: at a configuration the
+// candidate transitions are net.sparse().empty_pre() plus
+// by_lowest_pre_place(p) for every occupied place p (petri_net.h), and
+// each candidate is checked against its sparse pre support only.
+// Transitions whose lowest pre place is empty can never be enabled, so
+// this finds exactly the enabled set.
+//
+// Ordering contract (goldens, shortest words and the explore.*
+// counters rely on it): roots are interned in the given order, then
+// nodes are expanded in BFS order, and each node's enabled transitions
+// fire in ascending transition index. Discovery order, per-node edge
+// order, parent / parent_transition, `stopped` and the truncation
+// point are therefore exactly those of a dense scan over all
+// transitions in index order.
+//
+// Each configuration is stored once, in `nodes`: the interning hash set
+// keys on node ids, and a successor is built in a reused scratch
+// configuration, so only new configurations allocate.
 
 #ifndef PPSC_PETRI_REACHABILITY_H
 #define PPSC_PETRI_REACHABILITY_H
@@ -63,9 +82,6 @@ struct ReachabilityGraph {
   // witness word). Exploration ceases at that point.
   std::optional<std::size_t> stopped;
   ExploreStats stats;
-
-  // Index of `config` among nodes, or std::nullopt.
-  std::optional<std::size_t> find(const Config& config) const;
 
   // Transition word from this node's root to the node, via the BFS tree.
   std::vector<std::size_t> word_to(std::size_t node) const;

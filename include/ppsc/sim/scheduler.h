@@ -202,10 +202,6 @@ class CountSimulator {
   std::uint64_t weight_updates_ = 0;
 };
 
-// The name the scheduler-architecture docs use for the count-based
-// scheduler; identical type.
-using CountScheduler = CountSimulator;
-
 }  // namespace sim
 }  // namespace ppsc
 

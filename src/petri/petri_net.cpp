@@ -1,17 +1,61 @@
 #include "petri/petri_net.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 namespace ppsc {
 namespace petri {
 
+SparseForm::SparseForm(std::size_t num_states,
+                       const std::vector<Transition>& transitions)
+    : by_lowest_pre_place_(num_states) {
+  pre_offsets_.reserve(transitions.size() + 1);
+  delta_offsets_.reserve(transitions.size() + 1);
+  pre_offsets_.push_back(0);
+  delta_offsets_.push_back(0);
+  for (std::size_t t = 0; t < transitions.size(); ++t) {
+    const Config& pre = transitions[t].pre;
+    const Config& post = transitions[t].post;
+    const std::size_t first_pre = pre_entries_.size();
+    for (std::size_t p = 0; p < num_states; ++p) {
+      const auto place = static_cast<std::uint32_t>(p);
+      if (pre[p] > 0) pre_entries_.push_back({place, pre[p]});
+      if (post[p] != pre[p]) {
+        delta_entries_.push_back({place, post[p] - pre[p]});
+      }
+    }
+    if (pre_entries_.size() == first_pre) {
+      empty_pre_.push_back(t);
+    } else {
+      by_lowest_pre_place_[pre_entries_[first_pre].place].push_back(t);
+    }
+    pre_offsets_.push_back(pre_entries_.size());
+    delta_offsets_.push_back(delta_entries_.size());
+  }
+}
+
 PetriNet::PetriNet(const core::PetriNet& net)
     : num_states_(net.num_places()) {
+  transitions_.reserve(net.num_transitions());
   for (const core::Transition& t : net.transitions()) {
     add(Config(t.pre), Config(t.post));
   }
+}
+
+const SparseForm& PetriNet::sparse() const {
+  std::shared_ptr<const SparseForm> form = std::atomic_load(&sparse_.form);
+  if (!form) {
+    auto built = std::make_shared<const SparseForm>(num_states_, transitions_);
+    // On failure a concurrent first call won, and `form` now holds its
+    // (identical) result.
+    if (std::atomic_compare_exchange_strong(&sparse_.form, &form, built)) {
+      form = std::move(built);
+    }
+  }
+  // sparse_ keeps the form alive until the next add().
+  return *form;
 }
 
 void PetriNet::add(Config pre, Config post) {
@@ -24,6 +68,7 @@ void PetriNet::add(Config pre, Config post) {
     }
   }
   transitions_.push_back({std::move(pre), std::move(post)});
+  sparse_.form.reset();
 }
 
 Count PetriNet::norm_inf() const {
@@ -43,15 +88,18 @@ Count PetriNet::max_width() const {
 }
 
 bool PetriNet::enabled(std::size_t t, const Config& config) const {
-  return config.covers(transitions_[t].pre);
+  if (config.size() != num_states_) {
+    throw std::invalid_argument("PetriNet::enabled: dimension mismatch");
+  }
+  return sparse().enabled(t, config);
 }
 
 Config PetriNet::fire(std::size_t t, const Config& config) const {
-  const Transition& tr = transitions_[t];
-  Config next = config;
-  for (std::size_t p = 0; p < num_states_; ++p) {
-    next[p] += tr.post[p] - tr.pre[p];
+  if (config.size() != num_states_) {
+    throw std::invalid_argument("PetriNet::fire: dimension mismatch");
   }
+  Config next = config;
+  for (const SparseEntry& e : sparse().delta(t)) next[e.place] += e.amount;
   return next;
 }
 

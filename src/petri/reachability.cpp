@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -11,13 +11,6 @@
 
 namespace ppsc {
 namespace petri {
-
-std::optional<std::size_t> ReachabilityGraph::find(const Config& config) const {
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] == config) return i;
-  }
-  return std::nullopt;
-}
 
 std::vector<std::size_t> ReachabilityGraph::word_to(std::size_t node) const {
   std::vector<std::size_t> word;
@@ -29,6 +22,42 @@ std::vector<std::size_t> ReachabilityGraph::word_to(std::size_t node) const {
   return word;
 }
 
+namespace {
+
+// Node ids are the only keys of explore()'s hash set; the hasher and
+// the equality read the configuration behind an id from the graph's
+// `nodes`, or from the scratch probe when handed kProbeId. Each
+// configuration is thus stored once, and a successor is looked up
+// without being copied.
+constexpr std::size_t kProbeId = static_cast<std::size_t>(-1);
+
+struct NodeStore {
+  const std::vector<Config>* nodes;
+  const Config* probe;
+
+  const Config& operator[](std::size_t id) const {
+    return id == kProbeId ? *probe : (*nodes)[id];
+  }
+};
+
+// Not noexcept on purpose: libstdc++ then caches each hash code in its
+// node, so rehashing and mismatch rejection never re-read `nodes`.
+struct NodeHash {
+  const NodeStore* store;
+  std::size_t operator()(std::size_t id) const {
+    return ConfigHash{}((*store)[id]);
+  }
+};
+
+struct NodeEqual {
+  const NodeStore* store;
+  bool operator()(std::size_t a, std::size_t b) const {
+    return (*store)[a] == (*store)[b];
+  }
+};
+
+}  // namespace
+
 ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
                           const ExploreLimits& limits,
                           const std::function<bool(const Config&)>& stop) {
@@ -39,11 +68,25 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
   const bool count_collisions = obs::MetricRegistry::global().enabled();
   ReachabilityGraph graph;
   ExploreStats& stats = graph.stats;
-  std::unordered_map<Config, std::size_t, ConfigHash> ids;
-  const auto note_insertion = [&](const Config& config) {
+  // Successors are built in `probe` and copied into `nodes` only when
+  // new. The set keeps the default initial bucket count, so its bucket
+  // layout (and hence `collisions`) matches a Config-keyed map's.
+  Config probe;
+  const NodeStore store{&graph.nodes, &probe};
+  std::unordered_set<std::size_t, NodeHash, NodeEqual> ids(
+      0, NodeHash{&store}, NodeEqual{&store});
+  // Appends `probe` as a new node; returns its id.
+  const auto intern = [&](std::size_t parent, std::size_t transition) {
+    const std::size_t id = graph.nodes.size();
+    graph.nodes.push_back(probe);
+    graph.edges.emplace_back();
+    graph.parent.push_back(parent);
+    graph.parent_transition.push_back(transition);
+    ids.insert(id);
     if (count_collisions) {
-      stats.collisions += ids.bucket_size(ids.bucket(config)) - 1;
+      stats.collisions += ids.bucket_size(ids.bucket(id)) - 1;
     }
+    return id;
   };
   {
     obs::ScopedSpan seed_span("explore.seed", "petri");
@@ -52,25 +95,22 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
         throw std::invalid_argument("explore: root dimension mismatch");
       }
       ++stats.probes;
-      if (ids.count(root)) continue;
-      ids.emplace(root, graph.nodes.size());
-      note_insertion(root);
-      graph.nodes.push_back(root);
-      graph.edges.emplace_back();
-      graph.parent.push_back(ReachabilityGraph::kNoParent);
-      graph.parent_transition.push_back(0);
-      if (!graph.stopped && stop && stop(root)) {
-        graph.stopped = graph.nodes.size() - 1;
-      }
+      probe = root;
+      if (ids.count(kProbeId)) continue;
+      const std::size_t id = intern(ReachabilityGraph::kNoParent, 0);
+      if (!graph.stopped && stop && stop(graph.nodes[id])) graph.stopped = id;
     }
   }
+  std::uint64_t candidates = 0;
   {
     obs::ScopedSpan frontier_span("explore.frontier", "petri");
+    const SparseForm& sparse = net.sparse();
     // Chunk spans slice the BFS into fixed node windows, so a Perfetto
     // view shows where the expansion slowed down (hash-table growth,
     // widening frontier) without per-node events.
     constexpr std::size_t kChunkNodes = 8192;
     std::optional<obs::ScopedSpan> chunk_span;
+    std::vector<std::size_t> enabled;
     for (std::size_t head = 0;
          head < graph.nodes.size() && !graph.stopped; ++head) {
       if (head % kChunkNodes == 0 && graph.nodes.size() > kChunkNodes) {
@@ -80,30 +120,41 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
       }
       stats.frontier_peak =
           std::max(stats.frontier_peak, graph.nodes.size() - head);
-      // Copy: nodes may reallocate while we append successors.
-      // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
-      const Config current = graph.nodes[head];
-      for (std::size_t t = 0; t < net.num_transitions(); ++t) {
-        if (!net.enabled(t, current)) continue;
-        Config next = net.fire(t, current);
-        ++stats.probes;
-        auto it = ids.find(next);
-        if (it == ids.end()) {
-          if (graph.nodes.size() >= limits.max_nodes) {
-            graph.truncated = true;
-            continue;
-          }
-          it = ids.emplace(std::move(next), graph.nodes.size()).first;
-          note_insertion(it->first);
-          graph.nodes.push_back(it->first);
-          graph.edges.emplace_back();
-          graph.parent.push_back(head);
-          graph.parent_transition.push_back(t);
-          if (stop && stop(it->first)) {
-            graph.stopped = graph.nodes.size() - 1;
-          }
+      // The probe holds the expanded configuration between successors:
+      // each firing applies its delta, probes, and undoes it. (Reading
+      // nodes[head] directly would dangle once a successor is appended.)
+      probe = graph.nodes[head];
+      enabled = sparse.empty_pre();
+      candidates += enabled.size();
+      for (std::size_t p = 0; p < probe.size(); ++p) {
+        if (probe[p] == 0) continue;
+        const std::vector<std::size_t>& bucket = sparse.by_lowest_pre_place(p);
+        candidates += bucket.size();
+        for (std::size_t t : bucket) {
+          if (sparse.enabled(t, probe)) enabled.push_back(t);
         }
-        graph.edges[head].push_back({it->second, t});
+      }
+      // Ascending transition order keeps discovery order, edge order and
+      // the BFS tree identical to a dense scan over all transitions.
+      std::sort(enabled.begin(), enabled.end());
+      graph.edges[head].reserve(enabled.size());
+      for (std::size_t t : enabled) {
+        const SparseRange delta = sparse.delta(t);
+        for (const SparseEntry& e : delta) probe[e.place] += e.amount;
+        ++stats.probes;
+        const auto it = ids.find(kProbeId);
+        std::size_t target = kProbeId;
+        if (it != ids.end()) {
+          target = *it;
+        } else if (graph.nodes.size() < limits.max_nodes) {
+          target = intern(head, t);
+          if (stop && stop(graph.nodes[target])) graph.stopped = target;
+        } else {
+          graph.truncated = true;
+        }
+        for (const SparseEntry& e : delta) probe[e.place] -= e.amount;
+        if (target == kProbeId) continue;  // dropped: over the node budget
+        graph.edges[head].push_back({target, t});
         ++stats.edges;
         if (graph.stopped) break;
       }
@@ -113,6 +164,7 @@ ReachabilityGraph explore(const PetriNet& net, const std::vector<Config>& roots,
   stats.truncated = graph.truncated;
   span.arg("configs", stats.configs);
   span.arg("edges", stats.edges);
+  span.arg("candidates", candidates);
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
   if (registry.enabled()) {
     registry.add("explore.configs", stats.configs);

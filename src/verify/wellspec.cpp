@@ -14,9 +14,10 @@ namespace {
 using core::Config;
 using core::Count;
 
-}  // namespace
-
+// classify_input on a net already converted from protocol.net(), so a
+// sweep converts it once rather than once per input.
 WellSpecVerdict classify_input(const core::Protocol& protocol,
+                               const petri::PetriNet& net,
                                const std::vector<core::Count>& input,
                                const WellSpecOptions& options) {
   obs::ScopedTimer timer("verify.wellspec");
@@ -38,8 +39,7 @@ WellSpecVerdict classify_input(const core::Protocol& protocol,
   limits.max_nodes = options.max_configs;
   const petri::ReachabilityGraph graph = [&] {
     obs::ScopedSpan explore_span("verify.wellspec.explore", "verify");
-    return petri::explore(petri::PetriNet(protocol.net()),
-                          {petri::Config(initial)}, limits);
+    return petri::explore(net, {petri::Config(initial)}, limits);
   }();
   if (graph.truncated) {
     throw std::runtime_error(
@@ -90,6 +90,15 @@ WellSpecVerdict classify_input(const core::Protocol& protocol,
   return verdict;
 }
 
+}  // namespace
+
+WellSpecVerdict classify_input(const core::Protocol& protocol,
+                               const std::vector<core::Count>& input,
+                               const WellSpecOptions& options) {
+  return classify_input(protocol, petri::PetriNet(protocol.net()), input,
+                        options);
+}
+
 WellSpecResult check_well_specification_up_to(const core::Protocol& protocol,
                                               core::Count bound,
                                               const WellSpecOptions& options) {
@@ -98,10 +107,11 @@ WellSpecResult check_well_specification_up_to(const core::Protocol& protocol,
         "check_well_specification_up_to: bound must be >= 0");
   }
   WellSpecResult result;
+  const petri::PetriNet net(protocol.net());
   const std::size_t arity = protocol.input_arity();
   std::vector<core::Count> input(arity, 0);
   while (true) {
-    result.verdicts.push_back(classify_input(protocol, input, options));
+    result.verdicts.push_back(classify_input(protocol, net, input, options));
     // Odometer over [0, bound]^arity, least-significant dimension first
     // (the same enumeration order as verify::check_up_to).
     std::size_t dim = 0;

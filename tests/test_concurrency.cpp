@@ -4,7 +4,8 @@
 // deliberately overlap writers with readers -- trace-ring appends
 // racing collect() during ring wrap, metric publishes racing
 // snapshot() across short-lived threads, sim/parallel sweeps racing a
-// registry reader -- and assert that nothing tears. Under a plain
+// registry reader, first uses of a net's lazily built sparse form
+// racing each other -- and assert that nothing tears. Under a plain
 // build they are functional tests; under TSan they are the race
 // detectors the static-analysis gate blocks on (docs/static-analysis.md).
 //
@@ -23,6 +24,7 @@
 #include "core/constructions.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "petri/reachability.h"
 #include "sim/parallel.h"
 #include "sim/scheduler.h"
 #include "sim/sharded.h"
@@ -330,7 +332,48 @@ TEST(ConcurrencySharded, ReadersRaceShardWorkers) {
   traces.set_enabled(false);
 }
 
-#else  // !PPSC_OBS_ENABLED
+#endif  // PPSC_OBS_ENABLED
+
+// Threads released together make the first sparse() calls on a fresh
+// const net race (while one thread copies the net, which reads the same
+// cache). Every thread must see one complete sparse form: its explore()
+// has to match the serial graph exactly.
+TEST(ConcurrencyPetri, FirstSparseUsesRaceOnOneNet) {
+  const auto cp = ppsc::core::unary_counting(4);
+  const ppsc::petri::Config root(cp.protocol.initial_config({6}));
+  const auto serial =
+      ppsc::petri::explore(ppsc::petri::PetriNet(cp.protocol.net()), {root});
+  constexpr int kRounds = 20;
+  constexpr std::size_t kThreads = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    const ppsc::petri::PetriNet net(cp.protocol.net());
+    std::atomic<bool> go{false};
+    std::vector<std::size_t> configs(kThreads, 0);
+    std::vector<std::size_t> edges(kThreads, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        const ppsc::petri::PetriNet copy = net;
+        const auto graph =
+            ppsc::petri::explore(i % 2 == 0 ? net : copy, {root});
+        ASSERT_EQ(graph.nodes, serial.nodes);
+        configs[i] = graph.stats.configs;
+        edges[i] = graph.stats.edges;
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& t : threads) t.join();
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      EXPECT_EQ(configs[i], serial.stats.configs);
+      EXPECT_EQ(edges[i], serial.stats.edges);
+    }
+  }
+}
+
+#if !PPSC_OBS_ENABLED
 
 TEST(ConcurrencyObsOff, RegistriesAreInert) {
   EXPECT_FALSE(TraceRegistry::global().enabled());

@@ -1,12 +1,19 @@
 // The petri/ engines against hand-computed nets: coverability bases,
 // Karp-Miller omega-markings, Theorem 6.1 bottom witnesses, control
 // nets with Euler total cycles, and the width-2 compilation -- each
-// with a negative case.
+// with a negative case. explore() is also checked against a dense
+// reference exploration on seeded random nets.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/constructions.h"
 #include "petri/bottom.h"
@@ -16,6 +23,7 @@
 #include "petri/karp_miller.h"
 #include "petri/reachability.h"
 #include "petri/width_reduction.h"
+#include "util/rng.h"
 
 namespace petri = ppsc::petri;
 using petri::Config;
@@ -93,9 +101,11 @@ TEST(Explore, FiniteGraphIsExact) {
   EXPECT_FALSE(graph.truncated);
   // Multisets of 2 tokens over the chain: (2,0,0) reaches all 6.
   EXPECT_EQ(graph.nodes.size(), 6u);
-  const auto silent = graph.find(Config{0, 0, 2});
-  ASSERT_TRUE(silent.has_value());
-  const auto word = graph.word_to(*silent);
+  const auto silent =
+      std::find(graph.nodes.begin(), graph.nodes.end(), Config{0, 0, 2});
+  ASSERT_NE(silent, graph.nodes.end());
+  const auto word = graph.word_to(
+      static_cast<std::size_t>(silent - graph.nodes.begin()));
   EXPECT_EQ(word.size(), 4u);
   EXPECT_EQ(petri::fire_word(chain3(), Config{2, 0, 0}, word),
             (Config{0, 0, 2}));
@@ -107,6 +117,210 @@ TEST(Explore, TruncatesPumpingNets) {
   const auto graph = petri::explore(pump(), {Config{1, 0}}, limits);
   EXPECT_TRUE(graph.truncated);
   EXPECT_EQ(graph.nodes.size(), 50u);
+}
+
+TEST(PetriNet, SparseFormMatchesDenseTransitions) {
+  PetriNet net(4);
+  net.add(Config{0, 2, 1, 0}, Config{1, 0, 1, 3});  // lowest pre place 1
+  net.add(Config{0, 0, 0, 0}, Config{0, 0, 1, 0});  // token creator
+  net.add(Config{1, 0, 0, 1}, Config{1, 0, 0, 1});  // identity
+  using Entries = std::vector<std::pair<std::uint32_t, petri::Count>>;
+  const auto entries = [](petri::SparseRange range) {
+    Entries out;
+    for (const petri::SparseEntry& e : range) {
+      out.emplace_back(e.place, e.amount);
+    }
+    return out;
+  };
+  {
+    const petri::SparseForm& sparse = net.sparse();
+    EXPECT_EQ(entries(sparse.pre_support(0)), (Entries{{1, 2}, {2, 1}}));
+    EXPECT_EQ(entries(sparse.delta(0)), (Entries{{0, 1}, {1, -2}, {3, 3}}));
+    EXPECT_TRUE(entries(sparse.pre_support(1)).empty());
+    EXPECT_EQ(entries(sparse.delta(1)), (Entries{{2, 1}}));
+    EXPECT_TRUE(entries(sparse.delta(2)).empty());
+    EXPECT_EQ(sparse.empty_pre(), (std::vector<std::size_t>{1}));
+    EXPECT_EQ(sparse.by_lowest_pre_place(0), (std::vector<std::size_t>{2}));
+    EXPECT_EQ(sparse.by_lowest_pre_place(1), (std::vector<std::size_t>{0}));
+    EXPECT_TRUE(sparse.by_lowest_pre_place(2).empty());
+  }
+  EXPECT_TRUE(net.enabled(0, Config{0, 2, 1, 0}));
+  EXPECT_FALSE(net.enabled(0, Config{5, 1, 5, 5}));
+  EXPECT_EQ(net.fire(0, Config{0, 2, 1, 0}), (Config{1, 0, 1, 3}));
+
+  // A copy shares the built form; add() rebuilds only its own net's.
+  PetriNet grown = net;
+  grown.add(Config{0, 1, 0, 0}, Config{0, 0, 0, 0});  // destroyer
+  EXPECT_EQ(entries(grown.sparse().delta(3)), (Entries{{1, -1}}));
+  EXPECT_EQ(grown.sparse().by_lowest_pre_place(1),
+            (std::vector<std::size_t>{0, 3}));
+  EXPECT_EQ(net.sparse().by_lowest_pre_place(1),
+            (std::vector<std::size_t>{0}));
+  EXPECT_TRUE(grown.enabled(3, Config{0, 1, 0, 0}));
+}
+
+namespace {
+
+// Reference forward exploration: every transition is tested at every
+// node with a dense covers() over its pre vector and fired densely, and
+// configurations are keyed by value. explore() must reproduce it
+// exactly.
+petri::ReachabilityGraph dense_explore(
+    const PetriNet& net, const std::vector<Config>& roots,
+    std::size_t max_nodes,
+    const std::function<bool(const Config&)>& stop = {}) {
+  petri::ReachabilityGraph graph;
+  std::map<Config, std::size_t> ids;
+  const auto intern = [&](const Config& config, std::size_t parent,
+                          std::size_t transition) {
+    ids.emplace(config, graph.nodes.size());
+    graph.nodes.push_back(config);
+    graph.edges.emplace_back();
+    graph.parent.push_back(parent);
+    graph.parent_transition.push_back(transition);
+    if (!graph.stopped && stop && stop(config)) {
+      graph.stopped = graph.nodes.size() - 1;
+    }
+  };
+  // Every root is interned, even past a stopping one.
+  for (const Config& root : roots) {
+    ++graph.stats.probes;
+    if (ids.count(root) == 0) {
+      intern(root, petri::ReachabilityGraph::kNoParent, 0);
+    }
+  }
+  for (std::size_t head = 0; head < graph.nodes.size() && !graph.stopped;
+       ++head) {
+    graph.stats.frontier_peak =
+        std::max(graph.stats.frontier_peak, graph.nodes.size() - head);
+    const Config current = graph.nodes[head];
+    for (std::size_t t = 0; t < net.num_transitions(); ++t) {
+      const petri::Transition& tr = net.transition(t);
+      if (!current.covers(tr.pre)) continue;
+      Config next = current;
+      for (std::size_t p = 0; p < next.size(); ++p) {
+        next[p] += tr.post[p] - tr.pre[p];
+      }
+      ++graph.stats.probes;
+      auto it = ids.find(next);
+      if (it == ids.end()) {
+        if (graph.nodes.size() >= max_nodes) {
+          graph.truncated = true;
+          continue;
+        }
+        intern(next, head, t);
+        it = ids.find(next);
+      }
+      graph.edges[head].push_back({it->second, t});
+      ++graph.stats.edges;
+      if (graph.stopped) break;
+    }
+  }
+  graph.stats.configs = graph.nodes.size();
+  return graph;
+}
+
+// A random net over `places` places mixing every transition shape the
+// sparse form distinguishes: token creators (empty pre), identities,
+// pre multiplicities >= 2 up to width 3, non-conservative effects, and
+// plain width-1/2 moves.
+PetriNet random_net(ppsc::util::Xoshiro256& rng, std::size_t places,
+                    std::size_t transitions) {
+  PetriNet net(places);
+  const auto random_config = [&](petri::Count tokens) {
+    Config c(places);
+    for (petri::Count k = 0; k < tokens; ++k) ++c[rng.below(places)];
+    return c;
+  };
+  for (std::size_t t = 0; t < transitions; ++t) {
+    switch (rng.below(5)) {
+      case 0:  // token creator
+        net.add(Config(places), random_config(1 + rng.below(2)));
+        break;
+      case 1: {  // identity
+        const Config pre = random_config(1 + rng.below(2));
+        net.add(pre, pre);
+        break;
+      }
+      case 2: {  // multiplicity >= 2, width 3
+        Config pre(places);
+        pre[rng.below(places)] += 2;
+        ++pre[rng.below(places)];
+        net.add(pre, random_config(3));
+        break;
+      }
+      case 3:  // non-conservative
+        net.add(random_config(1 + rng.below(2)),
+                random_config(rng.below(4)));
+        break;
+      default: {  // conservative width 1 or 2
+        const petri::Count width = 1 + static_cast<petri::Count>(rng.below(2));
+        net.add(random_config(width), random_config(width));
+        break;
+      }
+    }
+  }
+  return net;
+}
+
+void expect_same_graph(const petri::ReachabilityGraph& got,
+                       const petri::ReachabilityGraph& want) {
+  ASSERT_EQ(got.nodes, want.nodes);
+  ASSERT_EQ(got.edges.size(), want.edges.size());
+  for (std::size_t u = 0; u < want.edges.size(); ++u) {
+    ASSERT_EQ(got.edges[u].size(), want.edges[u].size()) << "node " << u;
+    for (std::size_t i = 0; i < want.edges[u].size(); ++i) {
+      EXPECT_EQ(got.edges[u][i].target, want.edges[u][i].target);
+      EXPECT_EQ(got.edges[u][i].transition, want.edges[u][i].transition);
+    }
+  }
+  EXPECT_EQ(got.parent, want.parent);
+  EXPECT_EQ(got.parent_transition, want.parent_transition);
+  EXPECT_EQ(got.truncated, want.truncated);
+  EXPECT_EQ(got.stopped, want.stopped);
+  EXPECT_EQ(got.stats.configs, want.stats.configs);
+  EXPECT_EQ(got.stats.edges, want.stats.edges);
+  EXPECT_EQ(got.stats.probes, want.stats.probes);
+  EXPECT_EQ(got.stats.frontier_peak, want.stats.frontier_peak);
+  EXPECT_EQ(got.stats.truncated, got.truncated);
+}
+
+}  // namespace
+
+TEST(Explore, MatchesDenseReferenceOnRandomNets) {
+  ppsc::util::Xoshiro256 rng(20220725);
+  std::size_t truncated = 0;
+  std::size_t stopped = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::size_t places = 1 + rng.below(6);
+    const PetriNet net = random_net(rng, places, 1 + rng.below(12));
+    std::vector<Config> roots;
+    const std::size_t num_roots = 1 + rng.below(3);
+    for (std::size_t r = 0; r < num_roots; ++r) {
+      Config root(places);
+      for (std::size_t p = 0; p < places; ++p) root[p] = rng.below(3);
+      roots.push_back(root);
+    }
+    roots.push_back(roots.front());  // duplicate roots are probed, not kept
+    const std::size_t max_nodes = 20 + rng.below(300);
+    petri::ExploreLimits limits;
+    limits.max_nodes = max_nodes;
+    const auto got = petri::explore(net, roots, limits);
+    expect_same_graph(got, dense_explore(net, roots, max_nodes));
+    truncated += got.truncated ? 1 : 0;
+
+    // A stop predicate: the first node holding >= k tokens on place 0
+    // (roots hold at most 2, so k = 2 may already stop on a root).
+    const petri::Count k = 2 + static_cast<petri::Count>(rng.below(2));
+    const auto stop = [k](const Config& c) { return c[0] >= k; };
+    const auto got_stop = petri::explore(net, roots, limits, stop);
+    expect_same_graph(got_stop, dense_explore(net, roots, max_nodes, stop));
+    stopped += got_stop.stopped ? 1 : 0;
+  }
+  // The mix exercises both early exits, not just finite graphs.
+  EXPECT_GT(truncated, 20u);
+  EXPECT_GT(stopped, 20u);
 }
 
 TEST(Coverability, BackwardBasisIsMinimal) {
