@@ -67,7 +67,7 @@ void BM_BackwardCoverability_Example42(benchmark::State& state) {
     benchmark::DoNotOptimize(
         ppsc::petri::coverable(c.protocol.net(), source, target));
   }
-  attach_backward_stats(state, PetriNet(c.protocol.net()), target);
+  attach_backward_stats(state, c.protocol.net(), target);
 }
 BENCHMARK(BM_BackwardCoverability_Example42)->Arg(2)->Arg(8)->Arg(32);
 
@@ -83,7 +83,7 @@ void BM_StabilizationTest_Unary(benchmark::State& state) {
     benchmark::DoNotOptimize(
         ppsc::petri::coverable(c.protocol.net(), rho, target));
   }
-  attach_backward_stats(state, PetriNet(c.protocol.net()), target);
+  attach_backward_stats(state, c.protocol.net(), target);
 }
 BENCHMARK(BM_StabilizationTest_Unary)->Arg(4)->Arg(6)->Arg(8);
 

@@ -71,7 +71,7 @@ void print_state_space_census() {
     ppsc::petri::ExploreLimits limits;
     limits.max_nodes = 200000;
     const auto graph = ppsc::petri::explore(
-        ppsc::petri::PetriNet(family.constructed.protocol.net()),
+        family.constructed.protocol.net(),
         {ppsc::petri::Config(
             family.constructed.protocol.initial_config({population}))},
         limits);
@@ -94,7 +94,7 @@ void print_engine_cross_section() {
   std::printf("Engine cross-section (unary(6), one query per engine):\n\n");
   ppsc::util::TablePrinter table({"engine", "result", "work"});
   auto c = ppsc::core::unary_counting(6);
-  const ppsc::petri::PetriNet net(c.protocol.net());
+  const ppsc::petri::PetriNet& net = c.protocol.net();
   const ppsc::petri::Config source(c.protocol.initial_config({5}));
   const ppsc::petri::Config target = ppsc::petri::Config::unit(
       c.protocol.num_states(), c.protocol.states().at("6!"));

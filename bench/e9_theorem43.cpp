@@ -121,7 +121,7 @@ int main() {
     std::vector<bool> mask(c.protocol.num_states(), true);
     mask[c.protocol.states().at("X")] = false;
     auto row = run_pipeline("example42 n=" + std::to_string(n),
-                            PetriNet(c.protocol.net()).restrict(mask),
+                            c.protocol.net().restrict(mask),
                             Config(c.protocol.leaders()).restrict(mask));
     report.add_items(1);
     table.add_row({row.name, row.component, row.edges, row.total_cycle,

@@ -1,11 +1,15 @@
 // Core data model: population protocols as conservative Petri nets.
 //
-// A protocol is a Petri net whose places are the agent states, together
-// with an output bit per state, a mapping from input dimensions to input
-// states, and a fixed multiset of leader agents. Transitions are
-// conservative (they preserve the number of agents), which is what makes
-// every configuration space finite for a fixed input and lets the
-// verifier in verify/stable.h enumerate it exhaustively.
+// A protocol is a validated conservative petri::PetriNet whose places
+// are the agent states, together with an output bit per state, a
+// mapping from input dimensions to input states, and a fixed multiset
+// of leader agents. ProtocolBuilder::build() checks that every
+// transition preserves the number of agents (which makes every
+// configuration space finite for a fixed input and lets the verifier in
+// verify/stable.h enumerate it exhaustively) and is neither empty nor an
+// identity (so "no enabled transition" coincides with "silent"). Every
+// engine reads the one net and its cached sparse form; copies of a
+// protocol share that form.
 //
 // The width of a transition is the number of agents it consumes; the
 // width of a protocol is the maximum over its transitions. The paper's
@@ -22,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "petri/petri_net.h"
+
 namespace ppsc {
 namespace core {
 
@@ -29,47 +35,6 @@ using Count = long long;
 
 // A configuration is a multiset of agent states, indexed by state id.
 using Config = std::vector<Count>;
-
-// One Petri-net transition. `pre` and `post` are dense count vectors over
-// the protocol's states; the transition is enabled in a configuration c
-// iff c[q] >= pre[q] for every state q, and firing it replaces the
-// consumed agents with the produced ones.
-struct Transition {
-  std::string name;
-  std::vector<Count> pre;
-  std::vector<Count> post;
-
-  Count width() const {
-    Count total = 0;
-    for (Count k : pre) total += k;
-    return total;
-  }
-};
-
-// The transition structure of a protocol, viewed as a Petri net over the
-// agent states. Validation enforces conservation (population protocols
-// never create or destroy agents) and rejects identity transitions so
-// that "no enabled transition" coincides with "silent".
-class PetriNet {
- public:
-  explicit PetriNet(std::size_t num_places = 0) : num_places_(num_places) {}
-
-  std::size_t num_places() const { return num_places_; }
-  std::size_t num_transitions() const { return transitions_.size(); }
-  const Transition& transition(std::size_t i) const { return transitions_[i]; }
-  const std::vector<Transition>& transitions() const { return transitions_; }
-
-  // Throws std::invalid_argument on size mismatch, negative counts,
-  // non-conservative or identity transitions.
-  void add_transition(Transition t);
-
-  bool enabled(const Transition& t, const Config& config) const;
-  Config fire(const Transition& t, const Config& config) const;
-
- private:
-  std::size_t num_places_;
-  std::vector<Transition> transitions_;
-};
 
 class ProtocolBuilder;
 
@@ -97,9 +62,9 @@ class Protocol {
   Count num_leaders() const;
 
   // Maximum number of agents consumed by a single transition.
-  Count width() const;
+  Count width() const { return net_.max_width(); }
 
-  const PetriNet& net() const { return net_; }
+  const petri::PetriNet& net() const { return net_; }
 
   // Leaders plus `input[dim]` agents in each input state.
   Config initial_config(const std::vector<Count>& input) const;
@@ -116,7 +81,7 @@ class Protocol {
   std::vector<int> outputs_;
   std::vector<std::size_t> input_states_;
   std::vector<Count> leaders_;
-  PetriNet net_;
+  petri::PetriNet net_;
 };
 
 // Incremental builder so constructions read declaratively.
@@ -131,7 +96,10 @@ class ProtocolBuilder {
 
   void add_leaders(std::size_t state, Count count);
 
-  // General multiset transition; entries are (state, count) pairs.
+  // General multiset transition; entries are (state, count) pairs and
+  // repeated states add up. Throws std::invalid_argument on an unknown
+  // state or a negative count. build() rejects rules that are not
+  // conservative, empty or identities; `name` only labels the errors.
   void add_rule(const std::string& name,
                 const std::vector<std::pair<std::size_t, Count>>& pre,
                 const std::vector<std::pair<std::size_t, Count>>& post);
@@ -149,14 +117,22 @@ class ProtocolBuilder {
   void initial(const std::string& name);
   void rule(const std::string& spec);
 
+  // Throws std::invalid_argument naming the first invalid rule.
   Protocol build();
 
  private:
+  // A rule as added; dense over the states known when it was added.
+  struct Rule {
+    std::string name;
+    Config pre;
+    Config post;
+  };
+
   void check_state(std::size_t state, const std::string& rule) const;
   std::size_t state_id(const std::string& name, const std::string& where) const;
 
   Protocol protocol_;
-  std::vector<Transition> pending_;
+  std::vector<Rule> pending_;
   bool built_ = false;
 };
 

@@ -1,13 +1,13 @@
-// General (possibly non-conservative) Petri nets for the decision
-// engines of Sections 5-7.
+// General (possibly non-conservative) Petri nets: the one net model of
+// the library.
 //
-// core::PetriNet models population protocols and therefore insists on
-// conservation; the coverability / Karp-Miller / bottom machinery needs
-// nets that pump (Theorem 6.1's whole point is that some places grow
-// without bound), so this layer drops every structural restriction:
-// transitions may create or destroy tokens and may even be identities.
-// An implicit adapter from core::PetriNet lets a protocol's net() flow
-// into the engines directly.
+// A population protocol (core/protocol.h) owns one of these and its
+// builder guarantees conservation; the coverability / Karp-Miller /
+// bottom machinery of Sections 5-7 also needs nets that pump (Theorem
+// 6.1's whole point is that some places grow without bound), so the
+// net itself drops every structural restriction: transitions may create
+// or destroy tokens and may even be identities. A protocol's net()
+// flows into every engine as is.
 //
 // Two notions of sub-net are used by the paper and kept distinct here:
 //
@@ -41,9 +41,11 @@
 //
 // The sparse form is built in one pass by the first sparse() call after
 // the last add(), not by add() itself: scanning every place of every
-// transition costs about as much as copying the dense vectors, and net
-// conversion (core::PetriNet -> PetriNet) would pay it even when the
-// net is never explored.
+// transition costs about as much as copying the dense vectors, and
+// nets built only to be restricted, projected or counted (protocol
+// construction, restrict(), project()) would pay it for nothing. Copies
+// of a net share the form it has built, so every engine that reads a
+// protocol's net() reuses one sparse form.
 
 #ifndef PPSC_PETRI_PETRI_NET_H
 #define PPSC_PETRI_PETRI_NET_H
@@ -54,7 +56,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/protocol.h"
 #include "petri/config.h"
 
 namespace ppsc {
@@ -124,9 +125,6 @@ class SparseForm {
 class PetriNet {
  public:
   explicit PetriNet(std::size_t num_states = 0) : num_states_(num_states) {}
-
-  // Adapter from the protocol-level net: same places, same transitions.
-  PetriNet(const core::PetriNet& net);
 
   std::size_t num_states() const { return num_states_; }
   std::size_t num_transitions() const { return transitions_.size(); }

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "core/protocol.h"
+#include "petri/petri_net.h"
 #include "util/rng.h"
 
 namespace ppsc {
@@ -160,6 +161,8 @@ class AgentSimulator {
 // weights, never the drift-prone accumulated total).
 class CountSimulator {
  public:
+  // Reads the protocol net's sparse form, so the protocol must outlive
+  // the simulator.
   CountSimulator(const core::Protocol& protocol, core::Config initial,
                  std::uint64_t seed);
 
@@ -180,16 +183,11 @@ class CountSimulator {
   void publish_metrics() const;
 
  private:
-  struct SparseTransition {
-    std::vector<std::pair<std::size_t, core::Count>> pre;
-    std::vector<std::pair<std::size_t, core::Count>> delta;  // post - pre
-  };
-
-  double instance_weight(const SparseTransition& t) const;
+  double instance_weight(std::size_t t) const;
 
   util::Xoshiro256 rng_;
   core::Config config_;
-  std::vector<SparseTransition> transitions_;
+  const petri::SparseForm* sparse_;
   // dependents_[q]: transitions whose pre touches state q.
   std::vector<std::vector<std::size_t>> dependents_;
   std::vector<std::uint64_t> touched_;

@@ -72,7 +72,7 @@
 // (the same enabled-ordered-pairs count AgentSimulator maintains
 // incrementally); between barriers the shards run free of any shared
 // state. Per-shard counters (draws, productive, prefetch batches) are
-// plain local increments; cross-shard swap and steal counts are
+// plain local increments; they and the cross-shard swap count are
 // published as sim.shard.* metrics by publish_metrics().
 
 #ifndef PPSC_SIM_SHARDED_H
@@ -142,9 +142,6 @@ class ShardedSimulator {
   std::uint64_t epochs() const { return epochs_; }
   std::uint64_t cross_swaps() const { return cross_swaps_; }
   std::uint64_t prefetch_batches() const { return prefetch_batches_; }
-  std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
 
   const core::Config& census() const { return counts_; }
   core::Count population() const {
@@ -176,8 +173,8 @@ class ShardedSimulator {
 
   void run_shard_batch(Shard& shard);
   // Claims shards off next_shard_ until the epoch's work is drained.
-  void drain_shards(unsigned worker);
-  void worker_loop(unsigned worker);
+  void drain_shards();
+  void worker_loop();
   // X uniform cross-shard transpositions (serial, between barriers).
   void exchange();
   // Re-derives counts_, enabled_pairs_ and the run totals from the
@@ -198,7 +195,6 @@ class ShardedSimulator {
   std::uint64_t epochs_ = 0;
   std::uint64_t cross_swaps_ = 0;
   std::uint64_t prefetch_batches_ = 0;
-  std::atomic<std::uint64_t> steals_{0};
 
   // Epoch barrier: the main thread bumps epoch_gen_ and participates
   // as worker 0; spawned workers park on cv_work_ between epochs.

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace ppsc {
@@ -19,11 +20,12 @@ struct PairRule {
 
 std::vector<PairRule> pair_rules(const Protocol& p, const char* combinator) {
   std::vector<PairRule> rules;
-  for (const Transition& t : p.net().transitions()) {
+  for (std::size_t i = 0; i < p.net().num_transitions(); ++i) {
+    const petri::Transition& t = p.net().transition(i);
     if (t.width() != 2) {
       throw std::invalid_argument(std::string(combinator) +
-                                  ": operand transition '" + t.name +
-                                  "' has width != 2");
+                                  ": operand transition " + std::to_string(i) +
+                                  " has width != 2");
     }
     PairRule rule;
     std::size_t slot = 0;
@@ -124,14 +126,15 @@ ConstructedProtocol negate(const ConstructedProtocol& cp) {
   for (std::size_t q = 0; q < src.num_states(); ++q) {
     if (src.leaders(q) > 0) b.add_leaders(q, src.leaders(q));
   }
-  for (const Transition& t : src.net().transitions()) {
+  for (std::size_t i = 0; i < src.net().num_transitions(); ++i) {
+    const petri::Transition& t = src.net().transition(i);
     std::vector<std::pair<std::size_t, Count>> pre;
     std::vector<std::pair<std::size_t, Count>> post;
     for (std::size_t q = 0; q < t.pre.size(); ++q) {
       if (t.pre[q] > 0) pre.emplace_back(q, t.pre[q]);
       if (t.post[q] > 0) post.emplace_back(q, t.post[q]);
     }
-    b.add_rule(t.name, pre, post);
+    b.add_rule(std::to_string(i), pre, post);
   }
   Predicate p;
   p.name = "not(" + cp.predicate.name + ")";

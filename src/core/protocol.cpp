@@ -1,69 +1,12 @@
 #include "core/protocol.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace ppsc {
 namespace core {
 
-void PetriNet::add_transition(Transition t) {
-  if (t.pre.size() != num_places_ || t.post.size() != num_places_) {
-    throw std::invalid_argument("transition '" + t.name +
-                                "': pre/post size does not match place count");
-  }
-  Count consumed = 0;
-  Count produced = 0;
-  for (std::size_t q = 0; q < num_places_; ++q) {
-    if (t.pre[q] < 0 || t.post[q] < 0) {
-      throw std::invalid_argument("transition '" + t.name +
-                                  "': negative multiplicity");
-    }
-    consumed += t.pre[q];
-    produced += t.post[q];
-  }
-  if (consumed != produced) {
-    throw std::invalid_argument("transition '" + t.name +
-                                "': not conservative (consumes " +
-                                std::to_string(consumed) + ", produces " +
-                                std::to_string(produced) + ")");
-  }
-  if (consumed == 0) {
-    throw std::invalid_argument("transition '" + t.name + "': empty");
-  }
-  if (t.pre == t.post) {
-    throw std::invalid_argument("transition '" + t.name + "': identity");
-  }
-  transitions_.push_back(std::move(t));
-}
-
-bool PetriNet::enabled(const Transition& t, const Config& config) const {
-  for (std::size_t q = 0; q < num_places_; ++q) {
-    if (config[q] < t.pre[q]) return false;
-  }
-  return true;
-}
-
-Config PetriNet::fire(const Transition& t, const Config& config) const {
-  Config next = config;
-  for (std::size_t q = 0; q < num_places_; ++q) {
-    next[q] += t.post[q] - t.pre[q];
-  }
-  return next;
-}
-
-Count Protocol::num_leaders() const {
-  Count total = 0;
-  for (Count k : leaders_) total += k;
-  return total;
-}
-
-Count Protocol::width() const {
-  Count max_width = 0;
-  for (const Transition& t : net_.transitions()) {
-    max_width = std::max(max_width, t.width());
-  }
-  return max_width;
-}
+Count Protocol::num_leaders() const { return population(leaders_); }
 
 Config Protocol::initial_config(const std::vector<Count>& input) const {
   if (input.size() != input_states_.size()) {
@@ -127,19 +70,21 @@ void ProtocolBuilder::add_rule(
     throw std::logic_error("ProtocolBuilder: add_rule after build()");
   }
   const std::size_t n = protocol_.state_names_.size();
-  Transition t;
-  t.name = name;
-  t.pre.assign(n, 0);
-  t.post.assign(n, 0);
-  for (const auto& entry : pre) {
+  Rule rule{name, Config(n, 0), Config(n, 0)};
+  // Each entry is checked before it is summed, so a negative entry
+  // cannot hide behind a positive one on the same state.
+  const auto add = [&](const std::pair<std::size_t, Count>& entry,
+                       Config& side) {
     check_state(entry.first, name);
-    t.pre[entry.first] += entry.second;
-  }
-  for (const auto& entry : post) {
-    check_state(entry.first, name);
-    t.post[entry.first] += entry.second;
-  }
-  pending_.push_back(std::move(t));
+    if (entry.second < 0) {
+      throw std::invalid_argument("transition '" + name +
+                                  "': negative multiplicity");
+    }
+    side[entry.first] += entry.second;
+  };
+  for (const auto& entry : pre) add(entry, rule.pre);
+  for (const auto& entry : post) add(entry, rule.post);
+  pending_.push_back(std::move(rule));
 }
 
 void ProtocolBuilder::add_pair_rule(const std::string& name, std::size_t a,
@@ -150,16 +95,13 @@ void ProtocolBuilder::add_pair_rule(const std::string& name, std::size_t a,
   }
   const std::size_t n = protocol_.state_names_.size();
   for (std::size_t q : {a, b, c, d}) check_state(q, name);
-  Transition t;
-  t.name = name;
-  t.pre.assign(n, 0);
-  t.post.assign(n, 0);
-  t.pre[a] += 1;
-  t.pre[b] += 1;
-  t.post[c] += 1;
-  t.post[d] += 1;
-  if (t.pre == t.post) return;  // identity pairs carry no information
-  pending_.push_back(std::move(t));
+  Rule rule{name, Config(n, 0), Config(n, 0)};
+  rule.pre[a] += 1;
+  rule.pre[b] += 1;
+  rule.post[c] += 1;
+  rule.post[d] += 1;
+  if (rule.pre == rule.post) return;  // identity pairs carry no information
+  pending_.push_back(std::move(rule));
 }
 
 namespace {
@@ -226,12 +168,26 @@ Protocol ProtocolBuilder::build() {
   }
   built_ = true;
   const std::size_t n = protocol_.state_names_.size();
-  protocol_.net_ = PetriNet(n);
-  for (Transition& t : pending_) {
+  protocol_.net_ = petri::PetriNet(n);
+  for (Rule& rule : pending_) {
     // States may have been added after the rule; pad to the final count.
-    t.pre.resize(n, 0);
-    t.post.resize(n, 0);
-    protocol_.net_.add_transition(std::move(t));
+    rule.pre.resize(n, 0);
+    rule.post.resize(n, 0);
+    const Count consumed = Protocol::population(rule.pre);
+    const Count produced = Protocol::population(rule.post);
+    if (consumed != produced) {
+      throw std::invalid_argument("transition '" + rule.name +
+                                  "': not conservative (consumes " +
+                                  std::to_string(consumed) + ", produces " +
+                                  std::to_string(produced) + ")");
+    }
+    if (consumed == 0) {
+      throw std::invalid_argument("transition '" + rule.name + "': empty");
+    }
+    if (rule.pre == rule.post) {
+      throw std::invalid_argument("transition '" + rule.name + "': identity");
+    }
+    protocol_.net_.add(std::move(rule.pre), std::move(rule.post));
   }
   pending_.clear();
   return std::move(protocol_);

@@ -168,11 +168,11 @@ std::vector<Count> ControlStateNet::displacement(
     throw std::invalid_argument("ControlStateNet::displacement: size");
   }
   std::vector<Count> delta(net_.num_states(), 0);
+  const SparseForm& sparse = net_.sparse();
   for (std::size_t e = 0; e < edges_.size(); ++e) {
     if (edge_counts[e] == 0) continue;
-    const Transition& tr = net_.transition(edges_[e].transition);
-    for (std::size_t p = 0; p < delta.size(); ++p) {
-      delta[p] += static_cast<Count>(edge_counts[e]) * (tr.post[p] - tr.pre[p]);
+    for (const SparseEntry& change : sparse.delta(edges_[e].transition)) {
+      delta[change.place] += static_cast<Count>(edge_counts[e]) * change.amount;
     }
   }
   return delta;

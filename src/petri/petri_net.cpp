@@ -36,14 +36,6 @@ SparseForm::SparseForm(std::size_t num_states,
   }
 }
 
-PetriNet::PetriNet(const core::PetriNet& net)
-    : num_states_(net.num_places()) {
-  transitions_.reserve(net.num_transitions());
-  for (const core::Transition& t : net.transitions()) {
-    add(Config(t.pre), Config(t.post));
-  }
-}
-
 const SparseForm& PetriNet::sparse() const {
   std::shared_ptr<const SparseForm> form = std::atomic_load(&sparse_.form);
   if (!form) {

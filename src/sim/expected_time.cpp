@@ -23,17 +23,16 @@ namespace {
 // reported uncomputed rather than silently slow.
 constexpr std::size_t kMaxDenseComponent = 2048;
 
-// Instantiation count of `t` in `config`: the product of binomials
-// C(config[p], pre[p]), the same weight law both schedulers sample
-// with (sim/weights.h holds the shared per-place factor).
-long double instance_weight(const petri::Transition& t,
+// Instantiation count of transition t in `config`: the product of
+// binomials C(config[p], pre[p]) over t's pre support, the same weight
+// law both schedulers sample with (sim/weights.h holds the shared
+// per-place factor).
+long double instance_weight(const petri::SparseForm& sparse, std::size_t t,
                             const petri::Config& config) {
   long double weight = 1.0L;
-  for (std::size_t p = 0; p < config.size(); ++p) {
-    const petri::Count need = t.pre[p];
-    if (need == 0) continue;
+  for (const petri::SparseEntry& need : sparse.pre_support(t)) {
     const long double factor =
-        binomial_instances<long double>(config[p], need);
+        binomial_instances<long double>(config[need.place], need.amount);
     if (factor == 0.0L) return 0.0L;
     weight *= factor;
   }
@@ -103,11 +102,10 @@ ExpectedTimeResult expected_interactions_to_silence(
       registry.record("expected_time.largest_scc", result.largest_scc);
     }
   };
-  const petri::PetriNet net(protocol.net());
   petri::ExploreLimits limits;
   limits.max_nodes = max_configs;
   const petri::ReachabilityGraph graph =
-      petri::explore(net, {protocol.initial_config(input)}, limits);
+      petri::explore(protocol.net(), {protocol.initial_config(input)}, limits);
   result.reachable_configs = graph.nodes.size();
   if (graph.truncated) {
     result.truncated = true;
@@ -122,12 +120,13 @@ ExpectedTimeResult expected_interactions_to_silence(
   std::vector<std::vector<long double>> edge_probability(n);
   {
     obs::ScopedSpan weights_span("expected_time.weights", "sim");
+    const petri::SparseForm& sparse = protocol.net().sparse();
     for (std::size_t i = 0; i < n; ++i) {
       long double total = 0.0L;
       edge_probability[i].reserve(graph.edges[i].size());
       for (const petri::ReachEdge& edge : graph.edges[i]) {
         const long double w =
-            instance_weight(net.transition(edge.transition), graph.nodes[i]);
+            instance_weight(sparse, edge.transition, graph.nodes[i]);
         edge_probability[i].push_back(w);
         total += w;
       }

@@ -26,7 +26,7 @@ std::optional<PairRuleTable> PairRuleTable::build(
   table.cells_.assign(n * n, Outcome{});
   table.partners_.assign(n, {});
 
-  for (const core::Transition& t : protocol.net().transitions()) {
+  for (const petri::Transition& t : protocol.net().transitions()) {
     if (t.width() != 2) return std::nullopt;
     // Decompose pre and post into ordered state pairs. Width 2 means
     // either one state with count 2 or two states with count 1 each;
@@ -186,46 +186,41 @@ constexpr std::uint64_t kRebuildInterval = 1024;
 
 CountSimulator::CountSimulator(const core::Protocol& protocol,
                                core::Config initial, std::uint64_t seed)
-    : rng_(seed), config_(std::move(initial)) {
+    : rng_(seed),
+      config_(std::move(initial)),
+      sparse_(&protocol.net().sparse()) {
   if (config_.size() != protocol.num_states()) {
     throw std::invalid_argument(
         "CountSimulator: configuration dimension does not match protocol");
   }
-  for (const core::Transition& t : protocol.net().transitions()) {
-    SparseTransition s;
-    for (std::size_t q = 0; q < t.pre.size(); ++q) {
-      if (t.pre[q] > 0) s.pre.emplace_back(q, t.pre[q]);
-      if (t.post[q] != t.pre[q]) s.delta.emplace_back(q, t.post[q] - t.pre[q]);
-    }
-    transitions_.push_back(std::move(s));
-  }
+  const std::size_t num_transitions = protocol.net().num_transitions();
   // Incremental weight cache: a fired transition only changes the
   // counts on its delta places, so only transitions whose pre touches
   // one of those places can change weight.
   dependents_.assign(protocol.num_states(), {});
-  for (std::size_t i = 0; i < transitions_.size(); ++i) {
-    for (const auto& need : transitions_[i].pre) {
-      dependents_[need.first].push_back(i);
+  for (std::size_t i = 0; i < num_transitions; ++i) {
+    for (const petri::SparseEntry& need : sparse_->pre_support(i)) {
+      dependents_[need.place].push_back(i);
     }
   }
-  touched_.assign(transitions_.size(), 0);
-  weights_.assign(transitions_.size(), 0.0);
-  for (std::size_t i = 0; i < transitions_.size(); ++i) {
-    weights_[i] = instance_weight(transitions_[i]);
+  touched_.assign(num_transitions, 0);
+  weights_.assign(num_transitions, 0.0);
+  for (std::size_t i = 0; i < num_transitions; ++i) {
+    weights_[i] = instance_weight(i);
     total_ += weights_[i];
     if (weights_[i] > 0.0) ++num_active_;
   }
   peak_total_ = total_;
 }
 
-// Number of distinct agent sets firing `t` in the current
+// Number of distinct agent sets firing transition t in the current
 // configuration: the product of C(config[q], pre[q]) (see
 // sim/weights.h for the shared per-place factor).
-double CountSimulator::instance_weight(const SparseTransition& t) const {
+double CountSimulator::instance_weight(std::size_t t) const {
   double weight = 1.0;
-  for (const auto& need : t.pre) {
+  for (const petri::SparseEntry& need : sparse_->pre_support(t)) {
     const double factor =
-        binomial_instances<double>(config_[need.first], need.second);
+        binomial_instances<double>(config_[need.place], need.amount);
     if (factor == 0.0) return 0.0;
     weight *= factor;
   }
@@ -243,8 +238,8 @@ bool CountSimulator::step() {
     // is detected from the exact per-transition weights (zero is
     // exact), never from the accumulated total.
     double recomputed = 0.0;
-    for (const SparseTransition& t : transitions_) {
-      recomputed += instance_weight(t);
+    for (std::size_t i = 0; i < weights_.size(); ++i) {
+      recomputed += instance_weight(i);
     }
     assert(std::abs(total_ - recomputed) <= 1e-9 * std::max(1.0, peak_total_));
   }
@@ -254,24 +249,25 @@ bool CountSimulator::step() {
   // Rounding can leave pick barely non-negative after the last positive
   // weight; never fall through to a disabled transition.
   std::size_t chosen = 0;
-  for (std::size_t i = 0; i < transitions_.size(); ++i) {
+  for (std::size_t i = 0; i < weights_.size(); ++i) {
     if (weights_[i] == 0.0) continue;
     chosen = i;
     pick -= weights_[i];
     if (pick < 0.0) break;
   }
-  for (const auto& change : transitions_[chosen].delta) {
-    config_[change.first] += change.second;
+  const petri::SparseRange delta = sparse_->delta(chosen);
+  for (const petri::SparseEntry& change : delta) {
+    config_[change.place] += change.amount;
   }
   ++stamp_;
-  for (const auto& change : transitions_[chosen].delta) {
-    for (std::size_t dependent : dependents_[change.first]) {
+  for (const petri::SparseEntry& change : delta) {
+    for (std::size_t dependent : dependents_[change.place]) {
       if (touched_[dependent] == stamp_) continue;
       touched_[dependent] = stamp_;
       ++weight_updates_;
       total_ -= weights_[dependent];
       if (weights_[dependent] > 0.0) --num_active_;
-      weights_[dependent] = instance_weight(transitions_[dependent]);
+      weights_[dependent] = instance_weight(dependent);
       total_ += weights_[dependent];
       if (weights_[dependent] > 0.0) ++num_active_;
     }

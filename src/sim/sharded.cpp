@@ -93,7 +93,7 @@ ShardedSimulator::ShardedSimulator(const PairRuleTable& table,
       std::min<std::size_t>(workers, num_shards));
   threads_.reserve(workers - 1);
   for (unsigned w = 1; w < workers; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -145,19 +145,15 @@ void ShardedSimulator::run_shard_batch(Shard& shard) {
   shard.draws += batch_;
 }
 
-void ShardedSimulator::drain_shards(unsigned worker) {
-  const unsigned workers = num_workers();
+void ShardedSimulator::drain_shards() {
   while (true) {
     const std::size_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
     if (s >= shards_.size()) break;
-    // Home assignment is round-robin; claiming someone else's shard is
-    // the steal the sim.shard.steals counter reports.
-    if (s % workers != worker) steals_.fetch_add(1, std::memory_order_relaxed);
     run_shard_batch(shards_[s]);
   }
 }
 
-void ShardedSimulator::worker_loop(unsigned worker) {
+void ShardedSimulator::worker_loop() {
   std::uint64_t seen = 0;
   while (true) {
     {
@@ -166,7 +162,7 @@ void ShardedSimulator::worker_loop(unsigned worker) {
       if (shutdown_) return;
       seen = epoch_gen_;
     }
-    drain_shards(worker);
+    drain_shards();
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--running_ == 0) cv_done_.notify_one();
@@ -264,7 +260,7 @@ bool ShardedSimulator::epoch() {
       running_ = static_cast<unsigned>(threads_.size());
     }
     cv_work_.notify_all();
-    drain_shards(0);
+    drain_shards();
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_done_.wait(lock, [&] { return running_ == 0; });
@@ -289,7 +285,6 @@ void ShardedSimulator::publish_metrics() const {
   registry.add("sim.shard.productive", steps_);
   registry.add("sim.shard.batches", prefetch_batches_);
   registry.add("sim.shard.cross_swaps", cross_swaps_);
-  registry.add("sim.shard.steals", steals());
 }
 
 }  // namespace sim

@@ -28,9 +28,9 @@ std::string render_config(const core::Protocol& protocol,
   return out + "}";
 }
 
-// check_input on a net already converted from protocol.net(), so a
-// sweep converts it once rather than once per input.
-Verdict check_input(const core::Protocol& protocol, const petri::PetriNet& net,
+}  // namespace
+
+Verdict check_input(const core::Protocol& protocol,
                     const core::Predicate& predicate,
                     const std::vector<core::Count>& input,
                     const CheckOptions& options) {
@@ -56,7 +56,7 @@ Verdict check_input(const core::Protocol& protocol, const petri::PetriNet& net,
   limits.max_nodes = options.max_configs;
   const petri::ReachabilityGraph graph = [&] {
     obs::ScopedSpan explore_span("verify.explore", "verify");
-    return petri::explore(net, {petri::Config(initial)}, limits);
+    return petri::explore(protocol.net(), {petri::Config(initial)}, limits);
   }();
   if (graph.truncated) {
     throw std::runtime_error(
@@ -99,16 +99,6 @@ Verdict check_input(const core::Protocol& protocol, const petri::PetriNet& net,
   return verdict;
 }
 
-}  // namespace
-
-Verdict check_input(const core::Protocol& protocol,
-                    const core::Predicate& predicate,
-                    const std::vector<core::Count>& input,
-                    const CheckOptions& options) {
-  return check_input(protocol, petri::PetriNet(protocol.net()), predicate,
-                     input, options);
-}
-
 CheckResult check_up_to(const core::Protocol& protocol,
                         const core::Predicate& predicate, core::Count bound,
                         const CheckOptions& options) {
@@ -116,12 +106,11 @@ CheckResult check_up_to(const core::Protocol& protocol,
     throw std::invalid_argument("check_up_to: bound must be >= 0");
   }
   CheckResult result;
-  const petri::PetriNet net(protocol.net());
   const std::size_t arity = protocol.input_arity();
   std::vector<core::Count> input(arity, 0);
   while (true) {
     result.verdicts.push_back(
-        check_input(protocol, net, predicate, input, options));
+        check_input(protocol, predicate, input, options));
     // Odometer over [0, bound]^arity.
     std::size_t dim = 0;
     while (dim < arity && input[dim] == bound) {

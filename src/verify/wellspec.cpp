@@ -9,15 +9,9 @@
 namespace ppsc {
 namespace verify {
 
-namespace {
-
 using core::Config;
-using core::Count;
 
-// classify_input on a net already converted from protocol.net(), so a
-// sweep converts it once rather than once per input.
 WellSpecVerdict classify_input(const core::Protocol& protocol,
-                               const petri::PetriNet& net,
                                const std::vector<core::Count>& input,
                                const WellSpecOptions& options) {
   obs::ScopedTimer timer("verify.wellspec");
@@ -39,7 +33,7 @@ WellSpecVerdict classify_input(const core::Protocol& protocol,
   limits.max_nodes = options.max_configs;
   const petri::ReachabilityGraph graph = [&] {
     obs::ScopedSpan explore_span("verify.wellspec.explore", "verify");
-    return petri::explore(net, {petri::Config(initial)}, limits);
+    return petri::explore(protocol.net(), {petri::Config(initial)}, limits);
   }();
   if (graph.truncated) {
     throw std::runtime_error(
@@ -90,15 +84,6 @@ WellSpecVerdict classify_input(const core::Protocol& protocol,
   return verdict;
 }
 
-}  // namespace
-
-WellSpecVerdict classify_input(const core::Protocol& protocol,
-                               const std::vector<core::Count>& input,
-                               const WellSpecOptions& options) {
-  return classify_input(protocol, petri::PetriNet(protocol.net()), input,
-                        options);
-}
-
 WellSpecResult check_well_specification_up_to(const core::Protocol& protocol,
                                               core::Count bound,
                                               const WellSpecOptions& options) {
@@ -107,11 +92,10 @@ WellSpecResult check_well_specification_up_to(const core::Protocol& protocol,
         "check_well_specification_up_to: bound must be >= 0");
   }
   WellSpecResult result;
-  const petri::PetriNet net(protocol.net());
   const std::size_t arity = protocol.input_arity();
   std::vector<core::Count> input(arity, 0);
   while (true) {
-    result.verdicts.push_back(classify_input(protocol, net, input, options));
+    result.verdicts.push_back(classify_input(protocol, input, options));
     // Odometer over [0, bound]^arity, least-significant dimension first
     // (the same enumeration order as verify::check_up_to).
     std::size_t dim = 0;

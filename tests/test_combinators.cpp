@@ -57,9 +57,11 @@ TEST(Product, EmitsNoDuplicateTransitions) {
   const auto both =
       core::conjunction(core::unary_counting(2), core::modulo_counting(2, 1));
   std::set<std::pair<std::vector<core::Count>, std::vector<core::Count>>> seen;
-  for (const auto& t : both.protocol.net().transitions()) {
-    EXPECT_TRUE(seen.emplace(t.pre, t.post).second)
-        << "duplicate transition " << t.name;
+  const auto& net = both.protocol.net();
+  for (std::size_t i = 0; i < net.num_transitions(); ++i) {
+    const auto& t = net.transition(i);
+    EXPECT_TRUE(seen.emplace(t.pre.raw(), t.post.raw()).second)
+        << "duplicate transition " << i;
   }
 }
 

@@ -335,18 +335,19 @@ TEST(ConcurrencySharded, ReadersRaceShardWorkers) {
 #endif  // PPSC_OBS_ENABLED
 
 // Threads released together make the first sparse() calls on a fresh
-// const net race (while one thread copies the net, which reads the same
-// cache). Every thread must see one complete sparse form: its explore()
-// has to match the serial graph exactly.
+// protocol's net race (while one thread copies the net, which reads the
+// same cache). Every thread must see one complete sparse form: its
+// explore() has to match the serial graph exactly.
 TEST(ConcurrencyPetri, FirstSparseUsesRaceOnOneNet) {
-  const auto cp = ppsc::core::unary_counting(4);
-  const ppsc::petri::Config root(cp.protocol.initial_config({6}));
-  const auto serial =
-      ppsc::petri::explore(ppsc::petri::PetriNet(cp.protocol.net()), {root});
+  const auto reference = ppsc::core::unary_counting(4);
+  const ppsc::petri::Config root(reference.protocol.initial_config({6}));
+  const auto serial = ppsc::petri::explore(reference.protocol.net(), {root});
   constexpr int kRounds = 20;
   constexpr std::size_t kThreads = 4;
   for (int round = 0; round < kRounds; ++round) {
-    const ppsc::petri::PetriNet net(cp.protocol.net());
+    // A fresh protocol per round: its net has not built a sparse form.
+    const auto cp = ppsc::core::unary_counting(4);
+    const ppsc::petri::PetriNet& net = cp.protocol.net();
     std::atomic<bool> go{false};
     std::vector<std::size_t> configs(kThreads, 0);
     std::vector<std::size_t> edges(kThreads, 0);
@@ -370,6 +371,29 @@ TEST(ConcurrencyPetri, FirstSparseUsesRaceOnOneNet) {
       EXPECT_EQ(configs[i], serial.stats.configs);
       EXPECT_EQ(edges[i], serial.stats.edges);
     }
+  }
+}
+
+// Count-scheduler sweep workers all read one protocol's sparse form,
+// the first of them building it. A fresh protocol per round keeps that
+// first build racing; the statistics must not depend on the thread
+// count.
+TEST(ConcurrencyParallel, CountSweepsShareOneSparseForm) {
+  ppsc::sim::RunOptions options;
+  options.seed = 77;
+  options.scheduler = ppsc::sim::SchedulerChoice::kCount;
+  const std::vector<ppsc::core::Count> input = {9};
+  const ppsc::sim::ConvergenceStats serial =
+      ppsc::sim::measure_convergence_parallel(
+          ppsc::core::destructive_unary_counting(4), input, 8, options, 1);
+  for (int round = 0; round < 5; ++round) {
+    const ppsc::sim::ConvergenceStats threaded =
+        ppsc::sim::measure_convergence_parallel(
+            ppsc::core::destructive_unary_counting(4), input, 8, options, 4);
+    EXPECT_EQ(threaded.converged, serial.converged);
+    EXPECT_EQ(threaded.correct, serial.correct);
+    EXPECT_EQ(threaded.mean_steps, serial.mean_steps);
+    EXPECT_EQ(threaded.max_steps_observed, serial.max_steps_observed);
   }
 }
 

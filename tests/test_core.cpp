@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/constructions.h"
 #include "core/protocol.h"
@@ -56,10 +57,10 @@ TEST(Protocol, BuilderStringApiParsesPairRules) {
   EXPECT_EQ(p.input_arity(), 1u);
   EXPECT_EQ(p.input_state(0), 0u);
   ASSERT_EQ(p.net().num_transitions(), 2u);
-  EXPECT_EQ(p.net().transition(0).pre, (std::vector<core::Count>{2, 0}));
-  EXPECT_EQ(p.net().transition(0).post, (std::vector<core::Count>{0, 2}));
-  EXPECT_EQ(p.net().transition(1).pre, (std::vector<core::Count>{1, 1}));
-  EXPECT_EQ(p.net().transition(1).post, (std::vector<core::Count>{0, 2}));
+  EXPECT_EQ(p.net().transition(0).pre.raw(), (core::Config{2, 0}));
+  EXPECT_EQ(p.net().transition(0).post.raw(), (core::Config{0, 2}));
+  EXPECT_EQ(p.net().transition(1).pre.raw(), (core::Config{1, 1}));
+  EXPECT_EQ(p.net().transition(1).post.raw(), (core::Config{0, 2}));
 }
 
 TEST(Protocol, BuilderStringApiRejectsBadSpecs) {
@@ -84,24 +85,67 @@ TEST(Protocol, BuilderRejectsUseAfterBuild) {
   EXPECT_THROW(b.build(), std::logic_error);
 }
 
-TEST(PetriNet, RejectsNonConservativeAndIdentity) {
-  core::PetriNet net(2);
-  core::Transition bad;
-  bad.name = "bad";
-  bad.pre = {1, 0};
-  bad.post = {0, 2};
-  EXPECT_THROW(net.add_transition(bad), std::invalid_argument);
-  core::Transition identity;
-  identity.name = "id";
-  identity.pre = {1, 1};
-  identity.post = {1, 1};
-  EXPECT_THROW(net.add_transition(identity), std::invalid_argument);
-  core::Transition good;
-  good.name = "swap";
-  good.pre = {2, 0};
-  good.post = {0, 2};
-  net.add_transition(good);
-  EXPECT_EQ(net.num_transitions(), 1u);
+namespace {
+
+// The std::invalid_argument message `fn` throws, or "" if it returns.
+template <typename Fn>
+std::string invalid_argument_message(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(ProtocolBuilder, RejectsInvalidRules) {
+  // Each case adds one rule named "bad" beside a valid one to a fresh
+  // two-state builder and expects the error, from add_rule or build, to
+  // name it.
+  const auto rejection = [](auto add_bad_rule) {
+    return invalid_argument_message([&] {
+      core::ProtocolBuilder b;
+      b.add_state("A", false);
+      b.add_state("B", true);
+      b.add_rule("good", {{0, 2}}, {{1, 2}});
+      add_bad_rule(b);
+      b.build();
+    });
+  };
+  const auto has = [](const std::string& message, const std::string& part) {
+    return message.find(part) != std::string::npos;
+  };
+
+  const std::string negative = rejection(
+      [](core::ProtocolBuilder& b) { b.add_rule("bad", {{0, -1}}, {}); });
+  EXPECT_TRUE(has(negative, "'bad'") && has(negative, "negative")) << negative;
+  // A negative entry is rejected even when another entry on the same
+  // state would make the sum positive.
+  const std::string mixed = rejection([](core::ProtocolBuilder& b) {
+    b.add_rule("bad", {{0, 2}, {0, -1}}, {{1, 1}});
+  });
+  EXPECT_TRUE(has(mixed, "'bad'") && has(mixed, "negative")) << mixed;
+
+  const std::string leaky = rejection(
+      [](core::ProtocolBuilder& b) { b.add_rule("bad", {{0, 1}}, {{1, 2}}); });
+  EXPECT_TRUE(has(leaky, "'bad'") && has(leaky, "not conservative"))
+      << leaky;
+
+  const std::string empty =
+      rejection([](core::ProtocolBuilder& b) { b.add_rule("bad", {}, {}); });
+  EXPECT_TRUE(has(empty, "'bad'") && has(empty, "empty")) << empty;
+
+  const std::string identity = rejection([](core::ProtocolBuilder& b) {
+    b.add_rule("bad", {{0, 1}, {1, 1}}, {{1, 1}, {0, 1}});
+  });
+  EXPECT_TRUE(has(identity, "'bad'") && has(identity, "identity"))
+      << identity;
+
+  const std::string unknown = rejection(
+      [](core::ProtocolBuilder& b) { b.add_rule("bad", {{2, 1}}, {{0, 1}}); });
+  EXPECT_TRUE(has(unknown, "'bad'") && has(unknown, "state 2")) << unknown;
 }
 
 TEST(Example41, PaperShape) {

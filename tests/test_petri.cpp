@@ -75,13 +75,14 @@ TEST(PetriConfig, UnitRestrictAndNorms) {
   EXPECT_EQ(u.restrict({false, true, true, false}), (Config{0, 5}));
 }
 
-TEST(PetriNet, AdapterFromCoreNet) {
+TEST(PetriNet, ProtocolCopiesShareTheSparseForm) {
   const auto cp = ppsc::core::example_4_2(3);
-  const PetriNet net(cp.protocol.net());
-  EXPECT_EQ(net.num_states(), cp.protocol.num_states());
-  EXPECT_EQ(net.num_transitions(), cp.protocol.net().num_transitions());
-  EXPECT_EQ(net.max_width(), cp.protocol.width());
-  EXPECT_EQ(net.norm_inf(), 2);  // rally produces F + F
+  EXPECT_EQ(cp.protocol.net().norm_inf(), 2);  // rally produces F + F
+  // Copies of a protocol made after the first sparse() call reuse the
+  // form instead of rebuilding it.
+  const ppsc::petri::SparseForm& form = cp.protocol.net().sparse();
+  const auto copy = cp;
+  EXPECT_EQ(&copy.protocol.net().sparse(), &form);
 }
 
 TEST(PetriNet, RestrictKeepsOnlySupportedTransitions) {
@@ -556,7 +557,7 @@ TEST(WidthReduction, HandNetCompilesToWidth2) {
 
 TEST(WidthReduction, Example41IsProjectionEquivalent) {
   const auto cp = ppsc::core::example_4_1(3);
-  const PetriNet net(cp.protocol.net());
+  const PetriNet& net = cp.protocol.net();
   EXPECT_GT(net.max_width(), 2);
   const auto reduction = petri::widen_to_width2(net);
   EXPECT_EQ(reduction.compiled.max_width(), 2);

@@ -221,7 +221,7 @@ TEST(TraceEngines, CrossSectionExportsSchemaValidNestedSpans) {
 
   // One small query per engine, the e19 cross-section in miniature.
   auto c = ppsc::core::unary_counting(4);
-  const ppsc::petri::PetriNet net(c.protocol.net());
+  const ppsc::petri::PetriNet& net = c.protocol.net();
   const ppsc::petri::Config source(c.protocol.initial_config({3}));
   const ppsc::petri::Config target = ppsc::petri::Config::unit(
       c.protocol.num_states(), c.protocol.states().at("4!"));
